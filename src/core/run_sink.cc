@@ -151,7 +151,7 @@ Status FileRunSink::Append(RunStream stream, Key key) {
   if (writer == nullptr) {
     TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(
         env_, StreamPath(run_index_, stream), options_.block_bytes,
-        options_.pool, options_.async_buffer_bytes, &writer,
+        options_.pool, kDefaultAsyncBufferBytes, &writer,
         options_.flush_histogram));
   }
   return writer->Append(key);

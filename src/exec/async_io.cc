@@ -222,20 +222,33 @@ Status MakeAsyncRecordWriter(Env* env, const std::string& path,
                              size_t block_bytes, ThreadPool* pool,
                              size_t async_buffer_bytes,
                              std::unique_ptr<RecordWriter>* out,
-                             LatencyHistogram* flush_histogram) {
-  if (pool == nullptr || env->io_capabilities().async_appends) {
-    // Natively async backends (IoUringEnv) already overlap Append with the
-    // caller's compute; wrapping them would only add a copy and a pump
-    // task for overlap the kernel provides.
-    *out = std::make_unique<RecordWriter>(env, path, block_bytes);
+                             LatencyHistogram* flush_histogram,
+                             const MergeOutputRange& range) {
+  std::unique_ptr<WritableFile> file;
+  bool native_async;
+  if (range.positioned) {
+    // The shared file already exists: its creator truncates exactly once,
+    // before any range writer starts.
+    std::unique_ptr<RandomRWFile> shared;
+    TWRS_RETURN_IF_ERROR(env->ReopenRandomRWFile(path, &shared));
+    file = std::make_unique<RangeWritableFile>(std::move(shared),
+                                               range.offset, range.length);
+    native_async = env->io_capabilities().async_positioned_writes;
   } else {
-    std::unique_ptr<WritableFile> file;
     TWRS_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
-    auto async = std::make_unique<AsyncWritableFile>(std::move(file), pool,
-                                                     async_buffer_bytes);
-    async->set_flush_histogram(flush_histogram);
-    *out = std::make_unique<RecordWriter>(std::move(async), block_bytes);
+    native_async = env->io_capabilities().async_appends;
   }
+  // Natively async backends (IoUringEnv) already overlap writes with the
+  // caller's compute; a pool wrap would only add a copy and a pump task.
+  // Without a pool the wrap is a pass-through that times each write.
+  ThreadPool* flush_pool = native_async ? nullptr : pool;
+  if (flush_pool != nullptr || flush_histogram != nullptr) {
+    auto async = std::make_unique<AsyncWritableFile>(
+        std::move(file), flush_pool, async_buffer_bytes);
+    async->set_flush_histogram(flush_histogram);
+    file = std::move(async);
+  }
+  *out = std::make_unique<RecordWriter>(std::move(file), block_bytes);
   return (*out)->status();
 }
 

@@ -9,6 +9,7 @@
 #include "exec/blocking_queue.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
+#include "io/range_writable_file.h"
 #include "io/record_io.h"
 #include "util/status.h"
 
@@ -126,19 +127,23 @@ class PrefetchingSequentialFile : public SequentialFile {
   std::thread pump_;
 };
 
-/// Creates `path` through `env` and returns a RecordWriter over it,
-/// writing through an AsyncWritableFile on `pool` — or directly when
-/// `pool` is null or `env` reports async_appends (a natively async
-/// backend needs no pump thread). The single construction point for every
-/// record stream that can be background-flushed (run sink streams, merge
-/// outputs).
-/// A non-null `flush_histogram` records the wall time of every background
-/// flush (pool mode only); it must outlive the writer.
+/// The single construction point of every record stream that can be
+/// background-flushed: run sink streams, merge outputs, range outputs.
+/// Opens the output — `path` created (truncating), or with a positioned
+/// `range` the existing `path` reopened as a RangeWritableFile over it —
+/// and returns a RecordWriter writing through an AsyncWritableFile on
+/// `pool`. The wrap is skipped when `pool` is null or `env` reports the
+/// matching capability (async_appends, or async_positioned_writes for a
+/// range): a natively async backend needs no pump thread. A non-null
+/// `flush_histogram` records the wall time of every write that reaches
+/// the file (background flushes with a pool, each write without); it must
+/// outlive the writer.
 Status MakeAsyncRecordWriter(Env* env, const std::string& path,
                              size_t block_bytes, ThreadPool* pool,
                              size_t async_buffer_bytes,
                              std::unique_ptr<RecordWriter>* out,
-                             LatencyHistogram* flush_histogram = nullptr);
+                             LatencyHistogram* flush_histogram = nullptr,
+                             const MergeOutputRange& range = {});
 
 }  // namespace twrs
 

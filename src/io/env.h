@@ -60,9 +60,9 @@ class RandomRWFile {
 };
 
 /// What an Env's file handles already overlap internally. The async
-/// decorators (AsyncWritableFile, PrefetchingSequentialFile, the
-/// double-buffered RangeMergeSink flush) consult this and stay thin —
-/// no pump thread, no extra copy — when the backend is natively async.
+/// decorators (AsyncWritableFile over append and range outputs,
+/// PrefetchingSequentialFile) consult this and stay thin — no pump
+/// thread, no extra copy — when the backend is natively async.
 struct IoCapabilities {
   /// WritableFile::Append returns before the data hits the disk; the
   /// backend overlaps the write with the caller's compute.

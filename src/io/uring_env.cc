@@ -954,7 +954,7 @@ class UringSequentialFile : public SequentialFile {
 // ------------------------------------------------ UringRandomRWFile
 // Positioned writes submitted without blocking: WriteAt copies into one of
 // two slots and returns; completions are reaped when slots are reused and
-// on Sync/Close. RangeMergeSink's disjoint-range writers each own a handle
+// on Sync/Close. Disjoint-range RangeWritableFiles each own a handle
 // (and pooled ring), so the sharded output path runs fully overlapped with
 // no pump threads.
 class UringRandomRWFile : public RandomRWFile {

@@ -174,23 +174,22 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   RunGenerationPhase run_generation(source);
   MergePlanningPhase planning;
   FinalMergePhase final_merge(output_path);
-  SortPhase* const phases[] = {&run_generation, &planning, &final_merge};
-  for (SortPhase* phase : phases) {
-    Status s = phase->Run(&context);
-    if (!s.ok()) {
-      // A failed or cancelled sort must not leave scratch behind: the
-      // sort_dir still holds run files (and possibly intermediate merges)
-      // that no later pass will consume. An output this sort truncated is
-      // now torn and is removed too — but a pre-existing file the sort
-      // never opened is left untouched.
-      if (!options_.keep_temp_files) {
-        RemoveTreeBestEffort(&env, context.sort_dir);
-      }
-      if (env.watched_created()) {
-        TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
-      }
-      return s;
+  Status s = run_generation.Run(&context);
+  if (s.ok()) s = planning.Run(&context);
+  if (s.ok()) s = final_merge.Run(&context);
+  if (!s.ok()) {
+    // A failed or cancelled sort must not leave scratch behind: the
+    // sort_dir still holds run files (and possibly intermediate merges)
+    // that no later pass will consume. An output this sort truncated is
+    // now torn and is removed too — but a pre-existing file the sort
+    // never opened is left untouched.
+    if (!options_.keep_temp_files) {
+      RemoveTreeBestEffort(&env, context.sort_dir);
     }
+    if (env.watched_created()) {
+      TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
+    }
+    return s;
   }
   context.result.total_seconds = total_watch.ElapsedSeconds();
 

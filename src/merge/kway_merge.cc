@@ -1,8 +1,8 @@
 #include "merge/kway_merge.h"
 
 #include <algorithm>
-#include <limits>
 
+#include "exec/async_io.h"
 #include "merge/loser_tree.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
@@ -16,9 +16,7 @@ RunCursor::RunCursor(Env* env, RunInfo run, size_t block_bytes,
       block_bytes_(block_bytes),
       prefetch_blocks_(prefetch_blocks) {}
 
-Status RunCursor::Init() {
-  return InitSlice(0, std::numeric_limits<uint64_t>::max());
-}
+Status RunCursor::Init() { return InitSlice(0, kMergeNoLimit); }
 
 Status RunCursor::InitSlice(uint64_t skip, uint64_t limit) {
   segment_ = 0;
@@ -96,33 +94,43 @@ Status RunCursor::Advance() {
 
 namespace {
 
-/// Batches progress increments so the merge loop pays one local add per
-/// record and one atomic add per kBatch; the destructor flushes the
-/// remainder on every exit path (success, cancel, error unwind).
-class BatchedMergeProgress {
+/// The emitting end of a merge loop: appends each record to the writer,
+/// keeps the first and last keys (the stream's bounds, since it is
+/// sorted), and feeds progress in batches so the per-record cost is a
+/// local increment. The destructor flushes the progress remainder on
+/// every exit path (success, cancel, error unwind).
+class MergeEmitter {
  public:
   static constexpr uint64_t kBatch = 1024;
 
-  explicit BatchedMergeProgress(ProgressCounters* progress)
-      : progress_(progress) {}
+  MergeEmitter(RecordWriter* out, ProgressCounters* progress)
+      : out_(out), progress_(progress) {}
 
-  ~BatchedMergeProgress() {
-    if (progress_ != nullptr && pending_ > 0) {
-      progress_->AddRecordsMerged(pending_);
+  ~MergeEmitter() {
+    if (progress_ != nullptr && count_ % kBatch > 0) {
+      progress_->AddRecordsMerged(count_ % kBatch);
     }
   }
 
-  void Tick() {
-    if (progress_ == nullptr) return;
-    if (++pending_ == kBatch) {
+  Status Emit(Key key) {
+    TWRS_RETURN_IF_ERROR(out_->Append(key));
+    if (count_++ == 0) first_ = key;
+    last_ = key;
+    if (progress_ != nullptr && count_ % kBatch == 0) {
       progress_->AddRecordsMerged(kBatch);
-      pending_ = 0;
     }
+    return Status::OK();
   }
+
+  Key first() const { return first_; }
+  Key last() const { return last_; }
 
  private:
+  RecordWriter* out_;
   ProgressCounters* progress_;
-  uint64_t pending_ = 0;
+  uint64_t count_ = 0;
+  Key first_ = 0;
+  Key last_ = 0;
 };
 
 /// Fan-in at or below which a flat min-scan replaces the loser tree. At
@@ -136,10 +144,8 @@ constexpr size_t kSmallMergeFanIn = 8;
 /// sequence is byte-identical to the loser tree's (stable lowest-way
 /// tie-break, see loser_tree.h).
 Status MergeSmallFanIn(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress,
-                       const MergeWindow& window) {
+                       const CancelToken* cancel, const MergeWindow& window,
+                       MergeEmitter* emitter) {
   Key keys[kSmallMergeFanIn];
   RunCursor* ways[kSmallMergeFanIn];
   size_t live = 0;
@@ -160,50 +166,41 @@ Status MergeSmallFanIn(std::vector<std::unique_ptr<RunCursor>>* cursors,
   uint64_t to_skip = window.skip;
   uint64_t remaining = window.limit;
   Status status = Status::OK();
-  {
-    BatchedMergeProgress batched(progress);
-    while (live > 0 && remaining > 0) {
-      if (IsCancelled(cancel)) {
-        status = Status::Cancelled("merge cancelled");
-        break;
-      }
-      const size_t idx = min_index(keys, live);
-      ++selections;
-      if (to_skip > 0) {
-        --to_skip;
-      } else {
-        status = emit(keys[idx]);
-        if (!status.ok()) break;
-        batched.Tick();
-        --remaining;
-      }
-      status = ways[idx]->Next();
+  while (live > 0 && remaining > 0) {
+    if (IsCancelled(cancel)) {
+      status = Status::Cancelled("merge cancelled");
+      break;
+    }
+    const size_t idx = min_index(keys, live);
+    ++selections;
+    if (to_skip > 0) {
+      --to_skip;
+    } else {
+      status = emitter->Emit(keys[idx]);
       if (!status.ok()) break;
-      if (ways[idx]->valid()) {
-        keys[idx] = ways[idx]->key();
-      } else {
-        for (size_t j = idx + 1; j < live; ++j) {
-          keys[j - 1] = keys[j];
-          ways[j - 1] = ways[j];
-        }
-        --live;
+      --remaining;
+    }
+    status = ways[idx]->Next();
+    if (!status.ok()) break;
+    if (ways[idx]->valid()) {
+      keys[idx] = ways[idx]->key();
+    } else {
+      for (size_t j = idx + 1; j < live; ++j) {
+        keys[j - 1] = keys[j];
+        ways[j - 1] = ways[j];
       }
+      --live;
     }
   }
   simd::AddKernelCalls(simd::Kernel::kMinIndex, level, selections);
   return status;
 }
 
-}  // namespace
-
-Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress, const MergeWindow& window) {
+/// Loser-tree merge for fan-in above kSmallMergeFanIn.
+Status MergeLoserTree(std::vector<std::unique_ptr<RunCursor>>* cursors,
+                      const CancelToken* cancel, const MergeWindow& window,
+                      MergeEmitter* emitter) {
   const size_t k = cursors->size();
-  if (k <= kSmallMergeFanIn) {
-    return MergeSmallFanIn(cursors, cancel, emit, progress, window);
-  }
   LoserTree tree(k);
   for (size_t i = 0; i < k; ++i) {
     if ((*cursors)[i]->valid()) tree.SetInitial(i, (*cursors)[i]->key());
@@ -211,7 +208,6 @@ Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
   tree.Build();
   uint64_t to_skip = window.skip;
   uint64_t remaining = window.limit;
-  BatchedMergeProgress batched(progress);
   while (!tree.Exhausted() && remaining > 0) {
     if (IsCancelled(cancel)) {
       return Status::Cancelled("merge cancelled");
@@ -220,8 +216,7 @@ Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
     if (to_skip > 0) {
       --to_skip;
     } else {
-      TWRS_RETURN_IF_ERROR(emit(tree.WinnerKey()));
-      batched.Tick();
+      TWRS_RETURN_IF_ERROR(emitter->Emit(tree.WinnerKey()));
       --remaining;
     }
     TWRS_RETURN_IF_ERROR((*cursors)[w]->Next());
@@ -234,128 +229,60 @@ Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
   return Status::OK();
 }
 
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 const MergeIoOptions& io,
-                 const std::function<Status(Key)>& emit) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->Init());
-  }
-  return MergeRunCursors(&cursors, io.cancel, emit, io.progress);
-}
+}  // namespace
 
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 size_t block_bytes,
-                 const std::function<Status(Key)>& emit) {
-  MergeIoOptions io;
-  io.block_bytes = block_bytes;
-  return KWayMerge(env, runs, io, emit);
-}
-
-Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                          const MergeIoOptions& io, const MergeWindow& window,
-                          MergeSink* sink, RunInfo* out) {
-  RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
-  TWRS_RETURN_IF_ERROR(writer.status());
-  bool first = true;
-  Key min_key = 0;
-  Key max_key = 0;
-  TWRS_RETURN_IF_ERROR(MergeRunCursors(
-      cursors, io.cancel,
-      [&](Key key) {
-        if (first) {
-          min_key = key;
-          first = false;
-        }
-        max_key = key;
-        return writer.Append(key);
-      },
-      io.progress, window));
-  TWRS_RETURN_IF_ERROR(writer.Finish());
-  if (out != nullptr) {
-    RunInfo info;
-    RunSegment seg;
-    seg.reverse = false;
-    seg.count = writer.count();
-    info.segments.push_back(std::move(seg));
-    info.length = writer.count();
-    info.min_key = min_key;
-    info.max_key = max_key;
-    *out = std::move(info);
+Status OpenRunCursors(Env* env, const std::vector<RunInfo>& runs,
+                      const MergeIoOptions& io,
+                      const std::vector<RunSlice>* slices,
+                      std::vector<std::unique_ptr<RunCursor>>* cursors) {
+  cursors->clear();
+  cursors->reserve(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    const RunSlice slice = slices != nullptr ? (*slices)[r] : RunSlice();
+    if (slice.length == 0) continue;
+    cursors->push_back(std::make_unique<RunCursor>(env, runs[r],
+                                                   io.block_bytes,
+                                                   io.prefetch_blocks));
+    TWRS_RETURN_IF_ERROR(cursors->back()->InitSlice(slice.skip, slice.length));
   }
   return Status::OK();
 }
 
-Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io, MergeSink* sink,
-                       RunInfo* out) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->Init());
-  }
-  return MergeCursorsToSink(&cursors, io, MergeWindow(), sink, out);
-}
-
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out) {
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                           io.async_buffer_bytes, &sink,
-                                           io.flush_histogram,
-                                           io.sync_output));
-  TWRS_RETURN_IF_ERROR(KWayMergeToSink(env, runs, io, sink.get(), out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  return Status::OK();
-}
-
-Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
-                            const MergeIoOptions& io, uint64_t limit,
-                            bool take_last, const std::string& output_path,
-                            RunInfo* out) {
-  if (limit == 0) return KWayMergeToFile(env, runs, io, output_path, out);
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  uint64_t sliced_total = 0;
-  for (const RunInfo& run : runs) {
-    // Only a run's own first (or last) `limit` records can appear in the
-    // kept window of the merged stream: each is preceded (followed) within
-    // its run by enough records to push the rest out. The clamp is pure
-    // segment metadata — the dropped prefix/suffix is never read.
-    const uint64_t keep = std::min<uint64_t>(run.length, limit);
-    if (keep == 0) continue;
-    const uint64_t skip = take_last ? run.length - keep : 0;
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip, keep));
-    sliced_total += keep;
+MergeWindow ClampToLimit(uint64_t limit, bool take_last,
+                         std::vector<RunSlice>* slices) {
+  uint64_t total = 0;
+  for (RunSlice& slice : *slices) {
+    const uint64_t keep = std::min(slice.length, limit);
+    if (take_last) slice.skip += slice.length - keep;
+    slice.length = keep;
+    total += keep;
   }
   MergeWindow window;
   window.limit = limit;
-  if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                           io.async_buffer_bytes, &sink,
-                                           io.flush_histogram,
-                                           io.sync_output));
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(&cursors, io, window, sink.get(),
-                                          out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  return Status::OK();
+  if (take_last && total > limit) window.skip = total - limit;
+  return window;
 }
 
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       size_t block_bytes, const std::string& output_path,
-                       RunInfo* out) {
-  MergeIoOptions io;
-  io.block_bytes = block_bytes;
-  return KWayMergeToFile(env, runs, io, output_path, out);
+Status Merge(std::vector<std::unique_ptr<RunCursor>>* cursors,
+             const MergeIoOptions& io, const MergeWindow& window,
+             RecordWriter* out, RunInfo* info) {
+  TWRS_RETURN_IF_ERROR(out->status());
+  MergeEmitter emitter(out, io.progress);
+  TWRS_RETURN_IF_ERROR(
+      cursors->size() <= kSmallMergeFanIn
+          ? MergeSmallFanIn(cursors, io.cancel, window, &emitter)
+          : MergeLoserTree(cursors, io.cancel, window, &emitter));
+  TWRS_RETURN_IF_ERROR(out->Finish());
+  if (info != nullptr) {
+    RunSegment seg;
+    seg.count = out->count();
+    *info = RunInfo();
+    info->segments.push_back(std::move(seg));
+    info->length = out->count();
+    info->min_key = emitter.first();
+    info->max_key = emitter.last();
+  }
+  return Status::OK();
 }
 
 Status RemoveRunFiles(Env* env, const RunInfo& run) {

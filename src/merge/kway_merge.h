@@ -1,19 +1,17 @@
 #ifndef TWRS_MERGE_KWAY_MERGE_H_
 #define TWRS_MERGE_KWAY_MERGE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/record.h"
 #include "core/run_sink.h"
-#include "exec/async_io.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
-#include "io/merge_sink.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
+#include "obs/latency_histogram.h"
 #include "obs/progress.h"
 #include "util/cancel.h"
 #include "util/status.h"
@@ -33,9 +31,6 @@ struct MergeIoOptions {
   /// flushed on this pool, overlapping loser-tree work with output I/O.
   ThreadPool* pool = nullptr;
 
-  /// Size of each half of the output writer's async double buffer.
-  size_t async_buffer_bytes = kDefaultAsyncBufferBytes;
-
   /// Cooperative cancellation: when non-null, the merge loop polls the
   /// token every record and unwinds with Status::Cancelled once it fires.
   /// Must outlive the merge.
@@ -46,9 +41,8 @@ struct MergeIoOptions {
   /// `progress->AddRecordsMerged`. Must outlive the merge.
   ProgressCounters* progress = nullptr;
 
-  /// When non-null, the wall time of every flush of the merge output is
-  /// recorded here (see MakeAppendMergeSink/RangeMergeSink). Must outlive
-  /// the merge.
+  /// When non-null, the wall time of every write of the merge output is
+  /// recorded here (see MakeAsyncRecordWriter). Must outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
 
   /// Force the merge output to stable storage (Sync) before it is closed.
@@ -113,82 +107,51 @@ inline constexpr uint64_t kMergeNoLimit = ~uint64_t{0};
 /// the merge order, then emit at most `limit`. The merge loop stops dead
 /// once the window is served — with a limit of K, a top-K merge does k-way
 /// work proportional to skip+K, not to the input volume. Skipped records
-/// are merged (their cursors advance) but never reach emit, the writer, or
+/// are merged (their cursors advance) but never reach the writer or the
 /// progress counters. The default window is the whole stream.
 struct MergeWindow {
   uint64_t skip = 0;
   uint64_t limit = kMergeNoLimit;
-
-  bool whole() const { return skip == 0 && limit == kMergeNoLimit; }
 };
 
-/// Runs the loser tree over already-initialized cursors, emitting the
-/// merged non-decreasing key stream. The shared core of KWayMerge and the
-/// partitioned final merge's ranged partial merges. Polls `cancel` (when
-/// non-null) every record. A non-null `progress` receives every emitted
-/// record via AddRecordsMerged, batched so the per-record cost is a local
-/// increment; the remainder is flushed on every exit path. `window`
-/// restricts emission to a slice of the merge order (top-K and clamped
-/// partition merges); both the small-fan-in and loser-tree paths honor it.
-Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress = nullptr,
-                       const MergeWindow& window = MergeWindow());
+/// One run's slice of a merge: `length` records starting `skip` records in
+/// (0-based across segments). The default slice is the whole run.
+struct RunSlice {
+  uint64_t skip = 0;
+  uint64_t length = kMergeNoLimit;
+};
 
-/// Merges `runs` into a single non-decreasing stream delivered to `emit`
-/// (§2.1.2, k-way merge over a loser tree). `io.block_bytes` is the read
-/// buffer per run — the per-run merge buffer of the paper's setup.
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 const MergeIoOptions& io,
-                 const std::function<Status(Key)>& emit);
+/// Opens one cursor per run of `runs`, positioned on slice `(*slices)[r]`
+/// of run r when `slices` is non-null and on the whole run otherwise. A
+/// run whose slice is empty gets no cursor, so its files are never opened.
+Status OpenRunCursors(Env* env, const std::vector<RunInfo>& runs,
+                      const MergeIoOptions& io,
+                      const std::vector<RunSlice>* slices,
+                      std::vector<std::unique_ptr<RunCursor>>* cursors);
 
-/// Synchronous-I/O shorthand for the overload above.
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 size_t block_bytes,
-                 const std::function<Status(Key)>& emit);
+/// Top-K clamp of a merge over `slices` (one per run, with exact lengths):
+/// cuts each slice to its first `limit` records — its last with
+/// `take_last` — and returns the window that serves exactly the first
+/// (last) `limit` records of the merged slices. No record beyond a run's
+/// own first (last) `limit` can reach that window, since each is preceded
+/// (followed) within its run by enough records to push it out; the clamp
+/// is pure metadata, so the dropped records are never read.
+MergeWindow ClampToLimit(uint64_t limit, bool take_last,
+                         std::vector<RunSlice>* slices);
 
-/// Merges `runs` through the loser tree into `sink` (record-encoded,
-/// block-buffered). Finishes the sink, so a RangeMergeSink's exact-fill
-/// check runs before this returns. `*out` (if non-null) receives the
-/// record count and key bounds; its segment path is left empty for the
-/// caller, who knows the backing file.
-Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io, MergeSink* sink,
-                       RunInfo* out);
-
-/// Merges already-initialized (possibly sliced) cursors into `sink`,
-/// emitting only `window` of the merge order. The record-encoding core
-/// shared by KWayMergeToSink, the limit-aware merges, and the pruned
-/// final merge; same sink/out contract as KWayMergeToSink.
-Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                          const MergeIoOptions& io, const MergeWindow& window,
-                          MergeSink* sink, RunInfo* out);
-
-/// Top-K merge pass: merges `runs` into `output_path` keeping only the
-/// first (take_last = false) or last (take_last = true) `limit` records of
-/// the merged stream. Before merging, each input cursor is clamped to the
-/// `limit`-record prefix (or suffix) of its run using segment metadata
-/// only — no record of a run beyond its own first/last K can survive any
-/// superset merge, so the rest is never read. A limit of 0 means no limit
-/// (plain KWayMergeToFile). Intermediate merge passes of a limited sort
-/// use this, so every pass writes at most `limit` records.
-Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
-                            const MergeIoOptions& io, uint64_t limit,
-                            bool take_last, const std::string& output_path,
-                            RunInfo* out);
-
-/// Convenience overload merging into a record file at `output_path`
-/// through an AppendMergeSink (async-flushed when io.pool is set);
-/// returns the resulting single run through `*out` if non-null.
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out);
-
-/// Synchronous-I/O shorthand for the overload above.
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       size_t block_bytes, const std::string& output_path,
-                       RunInfo* out);
+/// The k-way merge (§2.1.2): runs `cursors` (already opened) through a
+/// loser tree — or, at fan-in <= 8, a flat MinIndexN scan with the same
+/// lowest-way tie-break, so the output is byte-identical — and appends
+/// `window` of the merged non-decreasing stream to `out`, then finishes
+/// `out`, so a range writer's exact-fill check runs before this returns.
+/// Polls `io.cancel` (when non-null) every record and unwinds with
+/// Cancelled once it fires; a non-null `io.progress` receives every
+/// emitted record via AddRecordsMerged, batched. `*info` (if non-null)
+/// receives the record count and key bounds of what was written; its
+/// segment path is left empty for the caller, who knows the backing file.
+Status Merge(std::vector<std::unique_ptr<RunCursor>>* cursors,
+             const MergeIoOptions& io, const MergeWindow& window,
+             RecordWriter* out, RunInfo* info);
 
 /// Deletes every physical file of a run (reverse segments span several).
 Status RemoveRunFiles(Env* env, const RunInfo& run);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "exec/async_io.h"
 #include "merge/kway_merge.h"
 #include "merge/partitioned_merge.h"
 
@@ -19,6 +21,34 @@ struct LeafMerge {
   RunInfo merged;
   TaskHandle handle;
 };
+
+/// Runs one intermediate merge into a new file at leaf->output_path. A
+/// limited merge clamps every input to the `limit`-record prefix (suffix
+/// for limit_last) that can still matter, so the pass writes at most
+/// `limit` records.
+Status MergeLeaf(Env* env, const MergeIoOptions& io,
+                 const MergeOptions& options, LeafMerge* leaf) {
+  std::vector<RunSlice> slices;
+  MergeWindow window;
+  if (options.limit > 0) {
+    for (const RunInfo& run : leaf->inputs) {
+      slices.push_back(RunSlice{0, run.length});
+    }
+    window = ClampToLimit(options.limit, options.limit_last, &slices);
+  }
+  std::vector<std::unique_ptr<RunCursor>> cursors;
+  TWRS_RETURN_IF_ERROR(OpenRunCursors(env, leaf->inputs, io,
+                                      options.limit > 0 ? &slices : nullptr,
+                                      &cursors));
+  std::unique_ptr<RecordWriter> writer;
+  TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(
+      env, leaf->output_path, io.block_bytes, io.pool,
+      kDefaultAsyncBufferBytes, &writer, io.flush_histogram));
+  TWRS_RETURN_IF_ERROR(Merge(&cursors, io, window, writer.get(),
+                             &leaf->merged));
+  leaf->merged.segments[0].path = leaf->output_path;
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -91,15 +121,10 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
     for (LeafMerge& leaf : level) {
       if (parallel) {
         leaf.handle = options.pool->Submit([env, &leaf, &io, &options] {
-          return KWayMergeLimitToFile(env, leaf.inputs, io, options.limit,
-                                      options.limit_last, leaf.output_path,
-                                      &leaf.merged);
+          return MergeLeaf(env, io, options, &leaf);
         });
       } else {
-        TWRS_RETURN_IF_ERROR(
-            KWayMergeLimitToFile(env, leaf.inputs, io, options.limit,
-                                 options.limit_last, leaf.output_path,
-                                 &leaf.merged));
+        TWRS_RETURN_IF_ERROR(MergeLeaf(env, io, options, &leaf));
       }
     }
     if (parallel) {
@@ -134,7 +159,6 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
       options.pool != nullptr ? std::max<size_t>(1, options.final_merge_threads)
                               : 1;
   final_spec.sample_size = options.final_sample_size;
-  final_spec.sample_seed = options.final_sample_seed;
   final_spec.pool = options.pool;
   final_spec.limit = options.limit;
   final_spec.take_last = options.limit_last;

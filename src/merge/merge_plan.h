@@ -56,15 +56,14 @@ struct MergeOptions {
   /// Partitions of the *final* merge step. Values > 1 (with a pool) split
   /// the key domain by sampled splitters and run that many partial
   /// loser-tree merges concurrently, each writing its disjoint byte range
-  /// of the output through a RangeMergeSink — byte-identical to the serial
+  /// of the output through a RangeWritableFile — byte-identical to the serial
   /// pass, since records are bare keys and the sorted stream is unique.
   /// 0 and 1 keep the final pass serial. Stats are unaffected: the final
   /// pass still counts as one merge step writing every record once.
   size_t final_merge_threads = 1;
 
-  /// Splitter sampling knobs of the partitioned final merge.
+  /// Splitter sample size of the partitioned final merge.
   size_t final_sample_size = 256;
-  uint64_t final_sample_seed = 1;
 
   /// Output placement of the final step. Default: append-create
   /// `output_path`. Positioned mode writes into the caller-assigned byte

@@ -4,7 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "io/merge_sink.h"
+#include "exec/async_io.h"
 #include "io/reverse_run_file.h"
 #include "shard/splitters.h"
 #include "simd/kernels.h"
@@ -99,65 +99,53 @@ class ForwardSegmentSearcher {
   int64_t cached_block_ = -1;
 };
 
-/// One run's slice of a partition: `skip` records in, `length` records long.
-struct RunSlice {
-  uint64_t skip = 0;
-  uint64_t length = 0;
-};
+/// Seed of the splitter and pruning-bound samples: fixed, so a merge's
+/// partitioning (and with it its I/O) is reproducible.
+constexpr uint64_t kSampleSeed = 1;
 
-/// Merges one partition: every run's slice for partition `j`, written to
-/// its byte range of the shared output through `sink`. `window` restricts
-/// emission to a slice of the partition's merge order — how a limited
-/// merge clamps the partition straddling the K-record boundary.
-Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
-                      const std::vector<RunSlice>& slices,
-                      const MergeIoOptions& io, const MergeWindow& window,
-                      MergeSink* sink) {
+/// Merges `window` of `runs` — sliced per run when `slices` is non-null —
+/// into `range` of the existing `path`, or into a new file at `path` when
+/// the range is not positioned. `*out` as for Merge, path filled in.
+Status MergeInto(Env* env, const std::vector<RunInfo>& runs,
+                 const std::vector<RunSlice>* slices,
+                 const MergeIoOptions& io, const MergeWindow& window,
+                 const MergeOutputRange& range, const std::string& path,
+                 RunInfo* out) {
   std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (slices[r].length == 0) continue;
-    cursors.push_back(std::make_unique<RunCursor>(env, runs[r],
-                                                  io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(
-        cursors.back()->InitSlice(slices[r].skip, slices[r].length));
-  }
-  RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
-  TWRS_RETURN_IF_ERROR(writer.status());
-  TWRS_RETURN_IF_ERROR(MergeRunCursors(
-      &cursors, io.cancel, [&](Key key) { return writer.Append(key); },
-      io.progress, window));
-  return writer.Finish();
+  TWRS_RETURN_IF_ERROR(OpenRunCursors(env, runs, io, slices, &cursors));
+  std::unique_ptr<RecordWriter> writer;
+  TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(
+      env, path, io.block_bytes, io.pool, kDefaultAsyncBufferBytes, &writer,
+      io.flush_histogram, range));
+  writer->set_sync_on_finish(io.sync_output);
+  TWRS_RETURN_IF_ERROR(Merge(&cursors, io, window, writer.get(), out));
+  if (out != nullptr) out->segments[0].path = path;
+  return Status::OK();
 }
 
 /// The serial limited final merge. Clamps every run to the `kept`-record
-/// prefix (suffix for take_last) that can still matter, then tightens the
-/// clamps with sampled key bounds: the smallest sampled key with >= kept
-/// records strictly below it bounds the ascending selection from above,
-/// so each run needs only its records below it — and a run with none is
-/// pruned outright, its files never opened. (Mirrored around >= for
-/// take_last.) The bound is an optimization, never a correctness
-/// requirement: the merge window serves exactly `kept` records from
-/// whatever survives the clamps.
+/// prefix (suffix for take_last) that can still matter, tightened by
+/// sampled key bounds: the smallest sampled key with >= kept records
+/// strictly below it bounds the ascending selection from above, so each
+/// run needs only its records below it — and a run with none is pruned
+/// outright, its files never opened. (Mirrored around >= for take_last.)
+/// The bound is an optimization, never a correctness requirement: the
+/// merge window serves exactly `kept` records from whatever survives the
+/// clamps.
 Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
                          const MergeIoOptions& io, const FinalMergeSpec& spec,
                          uint64_t kept, uint64_t total_records,
                          const std::string& output_path, RunInfo* out) {
   const size_t n = runs.size();
-  std::vector<uint64_t> skip(n, 0);
-  std::vector<uint64_t> keep(n, 0);
-  for (size_t r = 0; r < n; ++r) {
-    keep[r] = std::min<uint64_t>(runs[r].length, kept);
-    skip[r] = spec.take_last ? runs[r].length - keep[r] : 0;
-  }
+  std::vector<RunSlice> slices(n);
+  for (size_t r = 0; r < n; ++r) slices[r].length = runs[r].length;
   if (n > 1) {
     // Candidate bounds: a modest sample is plenty — any candidate that
     // qualifies prunes correctly, a missed tighter bound only costs I/O.
     std::vector<Key> sample;
     TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs,
                                        std::min<size_t>(spec.sample_size, 64),
-                                       spec.sample_seed, &sample));
+                                       kSampleSeed, &sample));
     std::sort(sample.begin(), sample.end());
     sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
     // Probing a candidate costs I/O in every run (a block binary search
@@ -199,7 +187,7 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
           if (total_below[s] >= kept) {
             // Every kept record is strictly below probe[s].
             for (size_t r = 0; r < n; ++r) {
-              keep[r] = std::min<uint64_t>(keep[r], below[r][s]);
+              slices[r].length = below[r][s];
             }
             refined = true;
             break;
@@ -210,8 +198,8 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
           if (total_records - total_below[s] >= kept) {
             // Every kept record is at or above probe[s].
             for (size_t r = 0; r < n; ++r) {
-              skip[r] = std::max<uint64_t>(skip[r], below[r][s]);
-              keep[r] = runs[r].length - skip[r];
+              slices[r].skip = below[r][s];
+              slices[r].length = runs[r].length - below[r][s];
             }
             refined = true;
             break;
@@ -223,45 +211,16 @@ Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
     }
   }
 
+  // The K-record clamp on top of the sampled bound; the window then
+  // serves exactly `kept` records from whatever survives.
+  const MergeWindow window = ClampToLimit(kept, spec.take_last, &slices);
   MergePruneStats prune;
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(n);
-  uint64_t sliced_total = 0;
   for (size_t r = 0; r < n; ++r) {
-    prune.records_pruned += runs[r].length - keep[r];
-    if (keep[r] == 0) {
-      if (runs[r].length > 0) ++prune.runs_pruned;
-      continue;
-    }
-    cursors.push_back(std::make_unique<RunCursor>(env, runs[r],
-                                                  io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip[r], keep[r]));
-    sliced_total += keep[r];
+    prune.records_pruned += runs[r].length - slices[r].length;
+    if (slices[r].length == 0 && runs[r].length > 0) ++prune.runs_pruned;
   }
-  MergeWindow window;
-  window.limit = kept;
-  if (spec.take_last && sliced_total > kept) {
-    window.skip = sliced_total - kept;
-  }
-
-  std::unique_ptr<MergeSink> sink;
-  if (spec.range.positioned) {
-    TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(env, output_path,
-                                            spec.range.offset,
-                                            spec.range.length, io.pool,
-                                            io.async_buffer_bytes, &sink,
-                                            io.flush_histogram,
-                                            io.sync_output));
-  } else {
-    TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                             io.async_buffer_bytes, &sink,
-                                             io.flush_histogram,
-                                             io.sync_output));
-  }
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(&cursors, io, window, sink.get(),
-                                          out));
-  if (out != nullptr) out->segments[0].path = output_path;
+  TWRS_RETURN_IF_ERROR(MergeInto(env, runs, &slices, io, window, spec.range,
+                                 output_path, out));
   if (spec.prune != nullptr) *spec.prune = prune;
   return Status::OK();
 }
@@ -405,8 +364,8 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     const size_t sample_size =
         std::min<size_t>(spec.sample_size, 64 * partitions_wanted);
     std::vector<Key> sample;
-    TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs, sample_size,
-                                       spec.sample_seed, &sample));
+    TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs, sample_size, kSampleSeed,
+                                       &sample));
     splitters = PickSplitters(std::move(sample), partitions_wanted);
   }
 
@@ -415,19 +374,8 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
       return PrunedSerialMerge(env, runs, io, spec, kept, total_records,
                                output_path, out);
     }
-    if (!spec.range.positioned) {
-      return KWayMergeToFile(env, runs, io, output_path, out);
-    }
-    std::unique_ptr<MergeSink> sink;
-    TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(env, output_path,
-                                            spec.range.offset,
-                                            spec.range.length, io.pool,
-                                            io.async_buffer_bytes, &sink,
-                                            io.flush_histogram,
-                                            io.sync_output));
-    TWRS_RETURN_IF_ERROR(KWayMergeToSink(env, runs, io, sink.get(), out));
-    if (out != nullptr) out->segments[0].path = output_path;
-    return Status::OK();
+    return MergeInto(env, runs, nullptr, io, MergeWindow(), spec.range,
+                     output_path, out);
   }
 
   // Exact slice boundaries: for each run, the record index where every
@@ -509,21 +457,16 @@ Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
     }
     windows[j].skip = inter_lo - p_lo;
     windows[j].limit = inter_hi - inter_lo;
-    const uint64_t length = windows[j].limit * kRecordBytes;
-    const uint64_t partition_offset =
-        spec.range.offset + (inter_lo - win_lo) * kRecordBytes;
+    MergeOutputRange range;
+    range.positioned = true;
+    range.offset = spec.range.offset + (inter_lo - win_lo) * kRecordBytes;
+    range.length = windows[j].limit * kRecordBytes;
     const MergeWindow* window = &windows[j];
     const std::vector<RunSlice>* partition_slices = &slices[j];
     handles.push_back(spec.pool->Submit(
-        [env, &runs, partition_slices, &io, &output_path, partition_offset,
-         length, window] {
-          std::unique_ptr<MergeSink> sink;
-          TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(
-              env, output_path, partition_offset, length, io.pool,
-              io.async_buffer_bytes, &sink, io.flush_histogram,
-              io.sync_output));
-          return MergePartition(env, runs, *partition_slices, io, *window,
-                                sink.get());
+        [env, &runs, partition_slices, &io, window, range, &output_path] {
+          return MergeInto(env, runs, partition_slices, io, *window, range,
+                           output_path, nullptr);
         }));
   }
   // Collect every partial merge before reporting the first failure, so no

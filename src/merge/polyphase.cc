@@ -1,6 +1,7 @@
 #include "merge/polyphase.h"
 
 #include <deque>
+#include <memory>
 #include <numeric>
 
 #include "merge/kway_merge.h"
@@ -91,9 +92,15 @@ Status PolyphaseMergeRuns(Env* env, std::vector<RunInfo> runs,
         final_merge ? output_path
                     : options.temp_dir + "/" + options.temp_prefix + "_pp" +
                           std::to_string(temp_counter++);
+    MergeIoOptions io;
+    io.block_bytes = options.block_bytes;
+    std::vector<std::unique_ptr<RunCursor>> cursors;
+    TWRS_RETURN_IF_ERROR(OpenRunCursors(env, batch, io, nullptr, &cursors));
+    RecordWriter writer(env, path, options.block_bytes);
     RunInfo merged;
     TWRS_RETURN_IF_ERROR(
-        KWayMergeToFile(env, batch, options.block_bytes, path, &merged));
+        Merge(&cursors, io, MergeWindow(), &writer, &merged));
+    merged.segments[0].path = path;
     ++local.merge_steps;
     local.records_written += merged.length;
     if (options.remove_inputs) {

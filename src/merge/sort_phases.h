@@ -63,28 +63,18 @@ struct SortContext {
 Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
                           SortContext* context);
 
-/// One phase of the external-sort pipeline. Phases are command objects over
-/// a SortContext, so a scheduler (e.g. shard/ShardedSorter) can compose and
-/// dispatch whole per-shard pipelines onto an Executor.
-class SortPhase {
- public:
-  virtual ~SortPhase() = default;
-
-  virtual const char* name() const = 0;
-
-  virtual Status Run(SortContext* context) = 0;
-};
-
+/// The external-sort pipeline is three phases, each a command object over
+/// a SortContext, run in order by ExternalSorter.
+///
 /// Phase 1: consumes the input through the configured run-generation
 /// algorithm, writing runs into sort_dir (async-flushed when the context
 /// has a pool) and recording run stats plus the phase time.
-class RunGenerationPhase : public SortPhase {
+class RunGenerationPhase {
  public:
   /// Does not take ownership of `source`.
   explicit RunGenerationPhase(RecordSource* source) : source_(source) {}
 
-  const char* name() const override { return "run-generation"; }
-  Status Run(SortContext* context) override;
+  Status Run(SortContext* context);
 
  private:
   RecordSource* source_;
@@ -92,21 +82,19 @@ class RunGenerationPhase : public SortPhase {
 
 /// Phase 2: derives the merge schedule configuration (fan-in, buffers,
 /// prefetch and pool wiring) from the sort options into context->merge_plan.
-class MergePlanningPhase : public SortPhase {
+class MergePlanningPhase {
  public:
-  const char* name() const override { return "merge-planning"; }
-  Status Run(SortContext* context) override;
+  Status Run(SortContext* context);
 };
 
 /// Phase 3: executes the planned multi-pass merge of context->runs into the
 /// output file and records merge stats plus the phase time.
-class FinalMergePhase : public SortPhase {
+class FinalMergePhase {
  public:
   explicit FinalMergePhase(std::string output_path)
       : output_path_(std::move(output_path)) {}
 
-  const char* name() const override { return "final-merge"; }
-  Status Run(SortContext* context) override;
+  Status Run(SortContext* context);
 
  private:
   std::string output_path_;

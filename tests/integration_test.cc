@@ -9,6 +9,7 @@
 #include "io/posix_env.h"
 #include "io/sim_disk_env.h"
 #include "merge/external_sorter.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -153,6 +154,47 @@ TEST(IntegrationTest, SimulatedDiskChargesMergePasses) {
   const double narrow = run_with_fan_in(2);   // many passes
   const double wide = run_with_fan_in(64);    // one pass
   EXPECT_GT(narrow, wide);
+}
+
+// A sort with metrics times every write of its merge output — serial
+// (append output) and pooled (range outputs of the partitioned final
+// merge) — and, when pooled, every background flush of its run files.
+// fan_in exceeds the run count, so the final pass is the only merge.
+TEST(IntegrationTest, SortRecordsFlushHistograms) {
+  for (bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pooled" : "serial");
+    MemEnv env;
+    MetricsRegistry metrics;
+    ExternalSortOptions options;
+    options.algorithm = RunGenAlgorithm::kLoadSortStore;
+    options.memory_records = 800;
+    options.fan_in = 64;
+    options.block_bytes = 4096;
+    options.temp_dir = "tmp";
+    options.metrics = &metrics;
+    if (pooled) {
+      options.parallel.worker_threads = 2;
+      options.parallel.dedicated_pool = true;
+      options.parallel.final_merge_threads = 2;
+    }
+    WorkloadOptions wl;
+    wl.num_records = 40000;
+    wl.seed = 5;
+    auto source = MakeWorkload(Dataset::kRandom, wl);
+    ExternalSorter sorter(&env, options);
+    ExternalSortResult result;
+    ASSERT_TWRS_OK(sorter.Sort(source.get(), "out", &result));
+    ASSERT_EQ(result.merge.merge_steps, 1u);
+    EXPECT_GT(metrics.Histogram("merge_sink.flush_seconds")
+                  ->TakeSnapshot()
+                  .count,
+              0u);
+    if (pooled) {
+      EXPECT_GT(
+          metrics.Histogram("run_sink.flush_seconds")->TakeSnapshot().count,
+          0u);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/run_sink.h"
@@ -46,13 +47,19 @@ RunInfo MakeFourStreamRun(Env* env, const std::string& prefix) {
   return sink.runs()[0];
 }
 
-std::vector<Key> MergeAll(Env* env, const std::vector<RunInfo>& runs) {
+// Merges `window` of `runs` (sliced when `slices` is non-null) into a
+// record file through Merge and reads it back.
+std::vector<Key> MergeAll(Env* env, const std::vector<RunInfo>& runs,
+                          const std::vector<RunSlice>* slices = nullptr,
+                          const MergeWindow& window = MergeWindow()) {
+  MergeIoOptions io;
+  io.block_bytes = 256;
+  std::vector<std::unique_ptr<RunCursor>> cursors;
+  EXPECT_TWRS_OK(OpenRunCursors(env, runs, io, slices, &cursors));
+  RecordWriter writer(env, "merged", io.block_bytes);
+  EXPECT_TWRS_OK(Merge(&cursors, io, window, &writer, nullptr));
   std::vector<Key> out;
-  Status s = KWayMerge(env, runs, 256, [&](Key k) {
-    out.push_back(k);
-    return Status::OK();
-  });
-  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TWRS_OK(ReadAllRecords(env, "merged", &out));
   return out;
 }
 
@@ -77,7 +84,7 @@ TEST(RunCursorTest, EmptyRunIsImmediatelyInvalid) {
   EXPECT_FALSE(cursor.valid());
 }
 
-TEST(KWayMergeTest, MergesPlainRuns) {
+TEST(MergeTest, MergesPlainRuns) {
   MemEnv env;
   std::vector<RunInfo> runs;
   runs.push_back(MakeForwardRun(&env, "a", {2, 8, 12, 16}));
@@ -87,7 +94,7 @@ TEST(KWayMergeTest, MergesPlainRuns) {
             std::vector<Key>({1, 2, 3, 7, 8, 9, 12, 13, 14, 16, 17, 18}));
 }
 
-TEST(KWayMergeTest, MergesMixedSegmentKinds) {
+TEST(MergeTest, MergesMixedSegmentKinds) {
   MemEnv env;
   std::vector<RunInfo> runs;
   runs.push_back(MakeFourStreamRun(&env, "r"));  // 5..60
@@ -99,19 +106,25 @@ TEST(KWayMergeTest, MergesMixedSegmentKinds) {
   EXPECT_EQ(merged.back(), 70);
 }
 
-TEST(KWayMergeTest, ZeroRunsYieldEmptyOutput) {
+TEST(MergeTest, ZeroRunsYieldEmptyOutput) {
   MemEnv env;
   EXPECT_TRUE(MergeAll(&env, {}).empty());
 }
 
-TEST(KWayMergeTest, ToFileProducesRunInfo) {
+TEST(MergeTest, ProducesRunInfo) {
   MemEnv env;
   std::vector<RunInfo> runs;
   runs.push_back(MakeForwardRun(&env, "a", {1, 3}));
   runs.push_back(MakeForwardRun(&env, "b", {2}));
+  MergeIoOptions io;
+  std::vector<std::unique_ptr<RunCursor>> cursors;
+  ASSERT_TWRS_OK(OpenRunCursors(&env, runs, io, nullptr, &cursors));
+  RecordWriter writer(&env, "merged", 256);
   RunInfo out;
-  ASSERT_TWRS_OK(KWayMergeToFile(&env, runs, 256, "merged", &out));
+  ASSERT_TWRS_OK(Merge(&cursors, io, MergeWindow(), &writer, &out));
   EXPECT_EQ(out.length, 3u);
+  ASSERT_EQ(out.segments.size(), 1u);
+  EXPECT_EQ(out.segments[0].count, 3u);
   EXPECT_EQ(out.min_key, 1);
   EXPECT_EQ(out.max_key, 3);
   std::vector<Key> keys;
@@ -119,7 +132,41 @@ TEST(KWayMergeTest, ToFileProducesRunInfo) {
   EXPECT_EQ(keys, std::vector<Key>({1, 2, 3}));
 }
 
-TEST(KWayMergeTest, RemoveRunFilesDeletesAllSegments) {
+TEST(MergeTest, ClampToLimitServesTheFirstOrLastK) {
+  MemEnv env;
+  std::vector<RunInfo> runs;
+  runs.push_back(MakeForwardRun(&env, "a", {1, 4, 7, 10}));
+  runs.push_back(MakeForwardRun(&env, "b", {2, 5, 8}));
+  runs.push_back(MakeForwardRun(&env, "c", {3, 6, 9, 11, 12}));
+  for (bool take_last : {false, true}) {
+    std::vector<RunSlice> slices;
+    for (const RunInfo& run : runs) slices.push_back(RunSlice{0, run.length});
+    const MergeWindow window = ClampToLimit(2, take_last, &slices);
+    for (size_t r = 0; r < runs.size(); ++r) {
+      EXPECT_EQ(slices[r].length, 2u);
+      EXPECT_EQ(slices[r].skip, take_last ? runs[r].length - 2 : 0u);
+    }
+    EXPECT_EQ(MergeAll(&env, runs, &slices, window),
+              take_last ? std::vector<Key>({11, 12})
+                        : std::vector<Key>({1, 2}));
+  }
+}
+
+TEST(MergeTest, EmptySlicesOpenNoCursor) {
+  MemEnv env;
+  std::vector<RunInfo> runs;
+  runs.push_back(MakeForwardRun(&env, "a", {1, 2}));
+  runs.push_back(MakeForwardRun(&env, "b", {3}));
+  ASSERT_TWRS_OK(env.RemoveFile("b"));  // never opened: its slice is empty
+  const std::vector<RunSlice> slices = {RunSlice{1, 1}, RunSlice{0, 0}};
+  std::vector<std::unique_ptr<RunCursor>> cursors;
+  ASSERT_TWRS_OK(OpenRunCursors(&env, runs, MergeIoOptions(), &slices,
+                                &cursors));
+  EXPECT_EQ(cursors.size(), 1u);
+  EXPECT_EQ(MergeAll(&env, runs, &slices), std::vector<Key>({2}));
+}
+
+TEST(MergeTest, RemoveRunFilesDeletesAllSegments) {
   MemEnv env;
   RunInfo run = MakeFourStreamRun(&env, "r");
   ASSERT_GT(env.FileCount(), 0u);
@@ -127,7 +174,7 @@ TEST(KWayMergeTest, RemoveRunFilesDeletesAllSegments) {
   EXPECT_EQ(env.FileCount(), 0u);
 }
 
-TEST(KWayMergeTest, RandomizedManyRunsProperty) {
+TEST(MergeTest, RandomizedManyRunsProperty) {
   Random rng(23);
   for (int trial = 0; trial < 10; ++trial) {
     MemEnv env;
